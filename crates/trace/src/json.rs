@@ -195,13 +195,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
+                    // Copy the whole run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a char boundary,
+                    // and each byte is validated once: linear in the input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let s = std::str::from_utf8(&rest[..run])
                         .map_err(|_| format!("invalid utf-8 at byte {}", self.pos))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -289,6 +294,25 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{}extra").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn string_heavy_documents_parse_in_linear_time() {
+        // ~5 MB: one long string plus many short ones with multi-byte
+        // scalars and escapes. Linear parsing takes milliseconds; the
+        // old per-character rescan of the remaining document took hours.
+        let long = r#"ab\u00e9\\\"x"#.repeat(250_000);
+        let short = format!("\"{}\"", r"wörd \n ".repeat(10));
+        let doc = format!("[\"{long}\",{}]", vec![short; 20_000].join(","));
+        assert!(doc.len() > 4_000_000);
+        let start = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items.len(), 20_001);
+        assert_eq!(items[0].as_str().unwrap().chars().count(), 250_000 * 6);
+        assert_eq!(items[1].as_str(), Some("wörd \n ".repeat(10).as_str()));
+        assert!(elapsed.as_secs() < 10, "5 MB parse took {elapsed:?}");
     }
 
     #[test]
