@@ -192,10 +192,14 @@ impl<'a> Runtime<'a> {
             ckpt: None,
             host: RefCell::new(HostState::default()),
         };
-        rt.device.offsets = rt.upload_u32(rt.view.offsets().to_vec().as_slice());
-        rt.device.edges = rt.upload_u32(rt.view.targets().to_vec().as_slice());
-        rt.device.weights = rt.upload_u32(rt.view.weights().to_vec().as_slice());
-        rt.device.srcs = rt.upload_u32(rt.view.sources().to_vec().as_slice());
+        // Upload straight from the view's arrays; `upload_u32` borrows all
+        // of `rt`, so the view steps out for the duration.
+        let view = std::mem::replace(&mut rt.view, Csr::from_edges(0, &[]));
+        rt.device.offsets = rt.upload_u32(view.offsets());
+        rt.device.edges = rt.upload_u32(view.targets());
+        rt.device.weights = rt.upload_u32(view.weights());
+        rt.device.srcs = rt.upload_u32(view.sources());
+        rt.view = view;
         if schedule == Schedule::Eghw {
             let layout = EghwLayout {
                 offsets_base: rt.device.offsets,

@@ -1,9 +1,34 @@
 //! Incremental edge-list accumulation with deduplication and symmetrization.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::csr::Csr;
 use crate::VertexId;
+
+/// Hashes a packed `(src, dst)` pair with one folded multiply, so both
+/// halves reach the low bits the table indexes by. Not DoS-resistant: only
+/// the crate's seeded generators and callers' own edges reach it.
+#[derive(Debug, Clone, Copy, Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    // The set's `u64` keys hash through `write_u64`; this serves any other.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 << 8 | b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let p = (x as u128) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (p >> 64) as u64 ^ p as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Accumulates edges and produces a [`Csr`].
 ///
@@ -28,7 +53,8 @@ use crate::VertexId;
 pub struct GraphBuilder {
     num_vertices: usize,
     edges: Vec<(VertexId, VertexId, u32)>,
-    seen: HashSet<(VertexId, VertexId)>,
+    /// Added `(src, dst)` pairs, packed as `src << 32 | dst`.
+    seen: HashSet<u64, BuildHasherDefault<PairHasher>>,
     symmetric: bool,
     keep_self_loops: bool,
 }
@@ -39,7 +65,7 @@ impl GraphBuilder {
         GraphBuilder {
             num_vertices,
             edges: Vec::new(),
-            seen: HashSet::new(),
+            seen: HashSet::default(),
             symmetric: false,
             keep_self_loops: false,
         }
@@ -91,7 +117,7 @@ impl GraphBuilder {
         if src == dst && !self.keep_self_loops {
             return false;
         }
-        if !self.seen.insert((src, dst)) {
+        if !self.seen.insert((src as u64) << 32 | dst as u64) {
             return false;
         }
         self.edges.push((src, dst, weight));
@@ -100,15 +126,14 @@ impl GraphBuilder {
 
     /// Finalizes the builder into a [`Csr`].
     pub fn build(&self) -> Csr {
-        let mut edges = self.edges.clone();
-        if self.symmetric {
-            for &(s, d, w) in &self.edges {
-                if s != d && !self.seen.contains(&(d, s)) {
-                    edges.push((d, s, w));
-                }
-            }
-        }
-        Csr::from_weighted_edges(self.num_vertices, &edges)
+        // Mirrors follow the originals, so where an edge and its mirror
+        // collide, the first-wins sort keeps the edge as it was added.
+        let mirrors = self
+            .edges
+            .iter()
+            .filter(|&&(s, d, _)| self.symmetric && s != d)
+            .map(|&(s, d, w)| (d, s, w));
+        Csr::from_edges_first_wins(self.num_vertices, self.edges.iter().copied().chain(mirrors))
     }
 }
 

@@ -73,7 +73,8 @@ impl Csr {
     /// Builds a CSR graph from `(src, dst, weight)` triples.
     ///
     /// Edges are sorted by `(src, dst)` so neighbor lists are ordered, which
-    /// the ordered-scan design decision of Section III-C relies on.
+    /// the ordered-scan design decision of Section III-C relies on. The sort
+    /// is stable: repeated `(src, dst)` pairs keep their input order.
     ///
     /// # Panics
     ///
@@ -85,23 +86,46 @@ impl Csr {
                 "edge ({s}, {d}) out of range for {num_vertices} vertices"
             );
         }
-        let mut sorted = edges.to_vec();
-        sorted.sort_unstable_by_key(|&(s, d, _)| (s, d));
+        let (offsets, targets, weights) = sort_by_src_dst(num_vertices, edges.iter().copied());
+        Self::from_rows(offsets, targets, weights)
+    }
 
-        let mut offsets = vec![0 as EdgeId; num_vertices + 1];
-        for &(s, _, _) in &sorted {
-            offsets[s as usize + 1] += 1;
-        }
+    /// Like [`Csr::from_weighted_edges`], but of every run of equal
+    /// `(src, dst)` pairs only the first in input order is kept.
+    ///
+    /// Endpoints must already be in range.
+    pub(crate) fn from_edges_first_wins(
+        num_vertices: usize,
+        edges: impl Iterator<Item = (VertexId, VertexId, u32)> + Clone,
+    ) -> Self {
+        let (mut offsets, mut targets, mut weights) = sort_by_src_dst(num_vertices, edges);
+        let mut kept = 0;
+        let mut start = 0;
         for v in 0..num_vertices {
-            offsets[v + 1] += offsets[v];
+            let end = offsets[v + 1] as usize;
+            let row = kept;
+            for e in start..end {
+                if kept == row || targets[kept - 1] != targets[e] {
+                    targets[kept] = targets[e];
+                    weights[kept] = weights[e];
+                    kept += 1;
+                }
+            }
+            start = end;
+            offsets[v + 1] = kept as EdgeId;
         }
-        let mut targets = Vec::with_capacity(sorted.len());
-        let mut weights = Vec::with_capacity(sorted.len());
-        let mut sources = Vec::with_capacity(sorted.len());
-        for &(s, d, w) in &sorted {
-            sources.push(s);
-            targets.push(d);
-            weights.push(w);
+        targets.truncate(kept);
+        weights.truncate(kept);
+        targets.shrink_to_fit();
+        weights.shrink_to_fit();
+        Self::from_rows(offsets, targets, weights)
+    }
+
+    /// Completes CSR arrays with the per-edge source array.
+    fn from_rows(offsets: Vec<EdgeId>, targets: Vec<VertexId>, weights: Vec<u32>) -> Self {
+        let mut sources = vec![0; targets.len()];
+        for (v, row) in offsets.windows(2).enumerate() {
+            sources[row[0] as usize..row[1] as usize].fill(v as VertexId);
         }
         Csr {
             offsets,
@@ -181,9 +205,12 @@ impl Csr {
     /// Pull-direction gathering traverses this view (incoming edges of each
     /// destination).
     pub fn reverse(&self) -> Csr {
-        let rev: Vec<(VertexId, VertexId, u32)> =
-            self.iter_edges().map(|(s, d, w)| (d, s, w)).collect();
-        Csr::from_weighted_edges(self.num_vertices(), &rev)
+        // The forward edges are in (src, dst) order, so one stable pass by
+        // dst leaves every reversed neighbor list in ascending order.
+        let offsets = row_offsets(self.num_vertices(), self.targets.iter().copied());
+        let edges = self.sources.iter().zip(&self.targets).zip(&self.weights);
+        let (targets, weights) = scatter(&offsets, edges.map(|((&s, &d), &w)| (d, s, w)));
+        Csr::from_rows(offsets, targets, weights)
     }
 
     /// Returns the view of this graph for `direction`.
@@ -216,6 +243,59 @@ impl Csr {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// CSR offsets of `num_rows` rows holding one entry per item of `rows`.
+fn row_offsets(num_rows: usize, rows: impl Iterator<Item = VertexId>) -> Vec<EdgeId> {
+    let mut offsets = vec![0 as EdgeId; num_rows + 1];
+    for r in rows {
+        offsets[r as usize + 1] += 1;
+    }
+    for r in 0..num_rows {
+        offsets[r + 1] += offsets[r];
+    }
+    offsets
+}
+
+/// One stable counting-sort pass: places every `(row, column, weight)`
+/// entry into its row of `offsets`, keeping input order within a row.
+/// Returns the column and weight arrays.
+fn scatter(
+    offsets: &[EdgeId],
+    entries: impl Iterator<Item = (VertexId, VertexId, u32)>,
+) -> (Vec<VertexId>, Vec<u32>) {
+    let len = offsets[offsets.len() - 1] as usize;
+    let mut next = offsets[..offsets.len() - 1].to_vec();
+    let mut columns = vec![0; len];
+    let mut weights = vec![0; len];
+    for (r, c, w) in entries {
+        let slot = &mut next[r as usize];
+        columns[*slot as usize] = c;
+        weights[*slot as usize] = w;
+        *slot += 1;
+    }
+    (columns, weights)
+}
+
+/// Stable sort of in-range `(src, dst, weight)` edges by `(src, dst)` into
+/// CSR `(offsets, targets, weights)`: a counting-sort pass by `dst`, then
+/// one by `src` over its output, both linear in vertices plus edges.
+fn sort_by_src_dst(
+    num_vertices: usize,
+    edges: impl Iterator<Item = (VertexId, VertexId, u32)> + Clone,
+) -> (Vec<EdgeId>, Vec<VertexId>, Vec<u32>) {
+    let by_dst = row_offsets(num_vertices, edges.clone().map(|(_, d, _)| d));
+    let (srcs, ws) = scatter(&by_dst, edges.map(|(s, d, w)| (d, s, w)));
+    let offsets = row_offsets(num_vertices, srcs.iter().copied());
+    let by_dst_entries = (0..num_vertices).flat_map(|d| {
+        let row = by_dst[d] as usize..by_dst[d + 1] as usize;
+        srcs[row.clone()]
+            .iter()
+            .zip(&ws[row])
+            .map(move |(&s, &w)| (s, d as VertexId, w))
+    });
+    let (targets, weights) = scatter(&offsets, by_dst_entries);
+    (offsets, targets, weights)
 }
 
 #[cfg(test)]

@@ -115,41 +115,29 @@ pub fn rmat(scale: u32, num_edges: usize, a: f64, b: f64, c: f64, seed: u64) -> 
     let n = 1usize << scale;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0000_9a7a);
     let mut builder = GraphBuilder::new(n);
+    let d = (1.0 - a - b - c).max(0.0);
     let mut attempts = 0usize;
     let max_attempts = num_edges.saturating_mul(20).max(64);
     while builder.len() < num_edges && attempts < max_attempts {
         attempts += 1;
-        let (mut x0, mut x1, mut y0, mut y1) = (0usize, n, 0usize, n);
-        while x1 - x0 > 1 {
+        // One quadrant per level: `right` picks the upper half of the
+        // source range and `down` the upper half of the target range, most
+        // significant bit first.
+        let (mut x, mut y) = (0 as VertexId, 0 as VertexId);
+        for _ in 0..scale {
             // Slight per-level noise, as in the reference graph500 generator.
             let na = a * rng.gen_range(0.95..1.05);
             let nb = b * rng.gen_range(0.95..1.05);
             let nc = c * rng.gen_range(0.95..1.05);
-            let sum = na + nb + nc + (1.0 - a - b - c).max(0.0);
-            let r = rng.gen::<f64>() * sum;
-            let (right, down) = if r < na {
-                (false, false)
-            } else if r < na + nb {
-                (true, false)
-            } else if r < na + nb + nc {
-                (false, true)
-            } else {
-                (true, true)
-            };
-            let xm = (x0 + x1) / 2;
-            let ym = (y0 + y1) / 2;
-            if right {
-                x0 = xm;
-            } else {
-                x1 = xm;
-            }
-            if down {
-                y0 = ym;
-            } else {
-                y1 = ym;
-            }
+            let ab = na + nb;
+            let abc = ab + nc;
+            let r = rng.gen::<f64>() * (abc + d);
+            let right = ((r >= na) & (r < ab)) | (r >= abc);
+            let down = r >= ab;
+            x = x << 1 | right as VertexId;
+            y = y << 1 | down as VertexId;
         }
-        builder.add_edge(x0 as VertexId, y0 as VertexId);
+        builder.add_edge(x, y);
     }
     builder.symmetric(true).build()
 }
@@ -320,6 +308,50 @@ mod tests {
     #[should_panic(expected = "max_weight")]
     fn zero_max_weight_panics() {
         with_random_weights(&uniform(4, 4, 0), 0, 0);
+    }
+
+    /// FNV-1a over the little-endian bytes of every CSR array.
+    fn fingerprint(g: &Csr) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for array in [g.offsets(), g.targets(), g.weights(), g.sources()] {
+            for byte in array.iter().flat_map(|x| x.to_le_bytes()) {
+                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The CSR arrays of one graph per generator and of every dataset
+    /// stand-in are pinned by fingerprint: a rewrite of the builder, the CSR
+    /// sort or a generator must reproduce them bit for bit.
+    #[test]
+    fn generator_output_is_pinned() {
+        let mut graphs = vec![
+            (
+                rmat(14, 150_000, 0.57, 0.19, 0.19, 1),
+                0xd385_1c04_786f_9fd6,
+            ),
+            (powerlaw(3_000, 20_000, 1.8, 17), 0xd124_97f2_29f4_04b0),
+            (road_grid(90, 70, 0.4, 0.02, 5), 0x1217_8911_ffce_3ce7),
+            (uniform(2_000, 9_000, 23), 0xd38d_0f4e_27d6_eb69),
+        ];
+        let datasets = [
+            0x89ea_f518_05c6_c9a3,
+            0xd65b_3fe1_17ce_726b,
+            0xdf25_0674_c8b4_5980,
+            0x2003_47ff_e932_40d5,
+            0x1972_7378_9676_be30,
+            0xe4d4_602c_4e58_aa1f,
+            0x0269_d0e8_d2b7_e24f,
+            0x4230_2863_949b_1662,
+            0xb995_45b2_a068_f76d,
+        ];
+        for (id, want) in crate::DatasetId::ALL.into_iter().zip(datasets) {
+            graphs.push((crate::dataset(id).graph, want));
+        }
+        for (i, (g, want)) in graphs.iter().enumerate() {
+            assert_eq!(fingerprint(g), *want, "graph {i} changed");
+        }
     }
 
     #[test]

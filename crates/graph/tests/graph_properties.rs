@@ -1,7 +1,82 @@
 //! Property tests for the graph substrate.
 
 use proptest::prelude::*;
-use sparseweaver_graph::{generators, io, Csr, GraphBuilder};
+use sparseweaver_graph::{generators, io, Csr, EdgeId, GraphBuilder, VertexId};
+
+/// The CSR arrays `(offsets, targets, weights, sources)`.
+type Arrays = (Vec<EdgeId>, Vec<VertexId>, Vec<u32>, Vec<VertexId>);
+
+fn arrays(g: &Csr) -> Arrays {
+    (
+        g.offsets().to_vec(),
+        g.targets().to_vec(),
+        g.weights().to_vec(),
+        g.sources().to_vec(),
+    )
+}
+
+/// Reference implementations: the straightforward sort-based CSR build,
+/// reverse and builder the linear-time library code must reproduce
+/// exactly. The sort is stable, so repeated pairs keep input order.
+mod oracle {
+    use super::*;
+    use std::collections::HashSet;
+
+    pub fn from_weighted_edges(n: usize, edges: &[(VertexId, VertexId, u32)]) -> Arrays {
+        let mut sorted = edges.to_vec();
+        sorted.sort_by_key(|&(s, d, _)| (s, d));
+        let mut offsets = vec![0 as EdgeId; n + 1];
+        for &(s, _, _) in &sorted {
+            offsets[s as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let sources = sorted.iter().map(|e| e.0).collect();
+        let targets = sorted.iter().map(|e| e.1).collect();
+        let weights = sorted.iter().map(|e| e.2).collect();
+        (offsets, targets, weights, sources)
+    }
+
+    pub fn reverse(g: &Csr) -> Arrays {
+        let rev: Vec<_> = g.iter_edges().map(|(s, d, w)| (d, s, w)).collect();
+        from_weighted_edges(g.num_vertices(), &rev)
+    }
+
+    pub fn build(
+        n: usize,
+        edges: &[(VertexId, VertexId, u32)],
+        symmetric: bool,
+        keep_self_loops: bool,
+    ) -> Arrays {
+        let mut seen = HashSet::new();
+        let mut kept = Vec::new();
+        for &(s, d, w) in edges {
+            if (s != d || keep_self_loops) && seen.insert((s, d)) {
+                kept.push((s, d, w));
+            }
+        }
+        let mut all = kept.clone();
+        if symmetric {
+            for &(s, d, w) in &kept {
+                if s != d && !seen.contains(&(d, s)) {
+                    all.push((d, s, w));
+                }
+            }
+        }
+        from_weighted_edges(n, &all)
+    }
+}
+
+/// Weighted edge lists over few vertices and weights, so repeated pairs
+/// (with equal and with different weights), self-loops and edges whose
+/// mirror was added with another weight are all common.
+fn weighted_edge_list() -> impl Strategy<Value = (usize, Vec<(u32, u32, u32)>)> {
+    (1usize..24).prop_flat_map(|n| {
+        let edges = prop::collection::vec((0u32..n as u32, 0u32..n as u32, 0u32..6), 0..160);
+        (Just(n), edges)
+    })
+}
 
 fn edge_list() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     (2usize..60).prop_flat_map(|n| {
@@ -10,7 +85,61 @@ fn edge_list() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     })
 }
 
+#[test]
+fn builder_keeps_the_weight_an_edge_was_added_with() {
+    for symmetric in [false, true] {
+        let mut b = GraphBuilder::new(3);
+        b.add_weighted_edge(0, 1, 42);
+        b.add_weighted_edge(1, 0, 7);
+        b.add_weighted_edge(1, 2, 5);
+        b.symmetric(symmetric);
+        let g = b.build();
+        let edges = [(0, 1, 42), (1, 0, 7), (1, 2, 5)];
+        assert_eq!(arrays(&g), oracle::build(3, &edges, symmetric, false));
+        assert_eq!(g.neighbor_weights(0), &[42]);
+        assert_eq!(g.neighbor_weights(1), &[7, 5]);
+        assert_eq!(
+            g.neighbor_weights(2),
+            if symmetric { &[5][..] } else { &[] }
+        );
+    }
+}
+
 proptest! {
+    /// The counting-sort CSR build equals a stable comparison sort, repeated
+    /// pairs and self-loops included.
+    #[test]
+    fn from_weighted_edges_matches_stable_sort((n, edges) in weighted_edge_list()) {
+        let g = Csr::from_weighted_edges(n, &edges);
+        prop_assert_eq!(arrays(&g), oracle::from_weighted_edges(n, &edges));
+    }
+
+    /// The one-pass reverse equals re-sorting the flipped edges.
+    #[test]
+    fn reverse_matches_stable_sort((n, edges) in weighted_edge_list()) {
+        let g = Csr::from_weighted_edges(n, &edges);
+        prop_assert_eq!(arrays(&g.reverse()), oracle::reverse(&g));
+    }
+
+    /// The builder's dedup, self-loop and mirror handling equals the
+    /// set-based reference under every option.
+    #[test]
+    fn builder_matches_reference(
+        (n, edges) in weighted_edge_list(),
+        symmetric in any::<bool>(),
+        keep_self_loops in any::<bool>(),
+    ) {
+        let mut b = GraphBuilder::new(n);
+        b.symmetric(symmetric).keep_self_loops(keep_self_loops);
+        for &(s, d, w) in &edges {
+            b.add_weighted_edge(s, d, w);
+        }
+        prop_assert_eq!(
+            arrays(&b.build()),
+            oracle::build(n, &edges, symmetric, keep_self_loops)
+        );
+    }
+
     /// Degree sums equal the edge count, always.
     #[test]
     fn degree_sum_is_edge_count((n, edges) in edge_list()) {

@@ -275,8 +275,9 @@ impl MainMemory {
     ///
     /// Panics if the region does not fit.
     pub fn write_u32_slice(&mut self, addr: u64, values: &[u32]) {
-        for (i, &v) in values.iter().enumerate() {
-            self.write(addr + 4 * i as u64, v as u64, 4);
+        let region = self.host_region_mut(addr, 4, values.len());
+        for (bytes, v) in region.chunks_exact_mut(4).zip(values) {
+            bytes.copy_from_slice(&v.to_le_bytes());
         }
     }
 
@@ -308,9 +309,25 @@ impl MainMemory {
     ///
     /// Panics if the region does not fit.
     pub fn write_f64_slice(&mut self, addr: u64, values: &[f64]) {
-        for (i, &v) in values.iter().enumerate() {
-            self.write_f64(addr + 8 * i as u64, v);
+        let region = self.host_region_mut(addr, 8, values.len());
+        for (bytes, v) in region.chunks_exact_mut(8).zip(values) {
+            bytes.copy_from_slice(&v.to_le_bytes());
         }
+    }
+
+    /// The `count * width` bytes at `addr` for a host slice write, counted
+    /// as `count` writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region is out of bounds.
+    fn host_region_mut(&mut self, addr: u64, width: usize, count: usize) -> &mut [u8] {
+        self.writes.set(self.writes.get() + count as u64);
+        let a = addr as usize;
+        let len = width * count;
+        a.checked_add(len)
+            .and_then(|end| self.data.get_mut(a..end))
+            .unwrap_or_else(|| panic!("host write of {len} bytes at {addr:#x} out of bounds"))
     }
 }
 
@@ -349,6 +366,21 @@ mod tests {
         assert_eq!(m.read_u32_slice(0, 3), vec![1, 2, 3]);
         m.write_f64_slice(64, &[1.5, 2.5]);
         assert_eq!(m.read_f64_slice(64, 2), vec![1.5, 2.5]);
+        // Slice helpers count one access per element.
+        assert_eq!(m.traffic(), (5, 5));
+        assert_eq!(m.read(0, 1), 1, "little-endian");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn oob_slice_write_panics() {
+        MainMemory::new(16).write_u32_slice(8, &[1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_write_near_usize_max_is_oob_not_overflow() {
+        MainMemory::new(16).write_f64_slice(u64::MAX - 4, &[1.0]);
     }
 
     #[test]

@@ -181,27 +181,29 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                            let unit = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            out.push(self.utf16_scalar(unit));
                         }
                         _ => return self.err("bad escape"),
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!(
+                        "raw control byte {b:#04x} in string at byte {}",
+                        self.pos
+                    ))
+                }
                 Some(_) => {
-                    // Copy the whole run up to the next quote or backslash.
-                    // Both are ASCII, so the run ends on a char boundary,
-                    // and each byte is validated once: linear in the input.
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte. All are ASCII, so the run ends on a char
+                    // boundary, and each byte is validated once: linear in
+                    // the input.
                     let rest = &self.bytes[self.pos..];
                     let run = rest
                         .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                         .unwrap_or(rest.len());
                     let s = std::str::from_utf8(&rest[..run])
                         .map_err(|_| format!("invalid utf-8 at byte {}", self.pos))?;
@@ -210,6 +212,34 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The four hex digits at `at`, as one UTF-16 code unit.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        self.bytes
+            .get(at..at + 4)
+            .and_then(|h| {
+                h.iter()
+                    .try_fold(0, |unit, &b| Some(unit << 4 | (b as char).to_digit(16)?))
+            })
+            .ok_or_else(|| format!("bad \\u escape at byte {}", at - 1))
+    }
+
+    /// The scalar a `\u` escape of `unit` stands for, with `self.pos` on
+    /// its last hex digit. A high surrogate directly followed by an escaped
+    /// low surrogate combines with it (consuming that escape); any other
+    /// surrogate decodes to U+FFFD.
+    fn utf16_scalar(&mut self, unit: u32) -> char {
+        if (0xd800..0xdc00).contains(&unit)
+            && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+        {
+            if let Ok(low @ 0xdc00..=0xdfff) = self.hex4(self.pos + 3) {
+                self.pos += 6;
+                let scalar = 0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00);
+                return char::from_u32(scalar).expect("surrogate pairs decode to scalars");
+            }
+        }
+        char::from_u32(unit).unwrap_or('\u{fffd}')
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -294,6 +324,41 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{}extra").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        let str_of = |doc: &str| parse(doc).unwrap().as_str().unwrap().to_string();
+        assert_eq!(str_of(r#""\ud83d\ude00""#), "\u{1f600}");
+        assert_eq!(str_of(r#""a\uD834\uDD1Eb""#), "a\u{1d11e}b");
+        // Lone surrogates, either half, keep decoding to U+FFFD; a high
+        // surrogate followed by another escape leaves that escape alone.
+        assert_eq!(str_of(r#""\ud83dx""#), "\u{fffd}x");
+        assert_eq!(str_of(r#""\ude00""#), "\u{fffd}");
+        assert_eq!(str_of(r#""\ud83d\u0041""#), "\u{fffd}A");
+        assert_eq!(str_of(r#""\ud83d\ud83d\ude00""#), "\u{fffd}\u{1f600}");
+        assert_eq!(str_of(r#""\ud83d\n""#), "\u{fffd}\n");
+        // Only hex digits make an escape; a sign is not one.
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\ud83d\u12""#).is_err());
+    }
+
+    #[test]
+    fn raw_control_bytes_in_strings_are_rejected_at_their_offset() {
+        let e = parse("[\"ok\", \"a\nb\"]").unwrap_err();
+        assert!(
+            e.contains("control byte 0x0a") && e.contains("at byte 9"),
+            "{e}"
+        );
+        let e = parse("\"\u{1f}\"").unwrap_err();
+        assert!(e.contains("0x1f") && e.contains("at byte 1"), "{e}");
+        // Escaped, the same characters are fine, and DEL is not a control
+        // byte to JSON.
+        assert_eq!(
+            parse(r#""a\nb\u001f""#).unwrap().as_str(),
+            Some("a\nb\u{1f}")
+        );
+        assert_eq!(parse("\"\u{7f}\"").unwrap().as_str(), Some("\u{7f}"));
     }
 
     #[test]
